@@ -103,11 +103,12 @@ bench-compare:
 	$(GO) test -run '^$$' -bench BenchmarkCompareSegment -benchmem -benchtime 2x .
 
 # Zero-allocation pins for the hot paths (interpreter dispatch, the
-# steady-state comparator, and tracing's disabled path). Run without -race:
-# the detector's own instrumentation allocates, so the guard tests carry a
-# !race build tag.
+# steady-state comparator, and tracing's disabled path), plus the packet
+# codec's shape: one allocation per Encode, Decode constant in the event
+# count. Run without -race: the detector's own instrumentation allocates, so
+# the guard tests carry a !race build tag.
 alloc-guard:
-	$(GO) test ./internal/proc ./internal/compare ./internal/telemetry ./internal/telemetry/profile -run 'AllocFree' -v
+	$(GO) test ./internal/proc ./internal/compare ./internal/telemetry ./internal/telemetry/profile ./internal/packet -run 'AllocFree' -v
 
 # Validate the pinned benchmark-trajectory files: every BENCH_NNN.json must
 # exist, parse against the parallaft-bench-trajectory/v1 schema, contain the

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"syscall"
 
 	"parallaft/internal/packet"
 	"parallaft/internal/pagestore"
@@ -71,20 +72,49 @@ var ErrProtocol = errors.New("checkd: protocol error")
 // other framing damage without string matching.
 var ErrFrameTooLarge = fmt.Errorf("%w: frame exceeds size limit", ErrProtocol)
 
-// WriteFrame writes one protocol frame.
+// WriteFrame writes one protocol frame: header and payload go out in one
+// vectored write (writev on TCP and Unix connections), never copied into a
+// joint buffer.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	var hdr [5]byte
 	hdr[0] = typ
 	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	return writeVec(w, hdr[:], payload)
+}
+
+// WriteChunk writes one 'C' frame carrying the chunk data under key k. The
+// frame header and the key go out with the data in one vectored write, so
+// the data is sent from where it lies, without a copy.
+func WriteChunk(w io.Writer, k pagestore.Key, data []byte) error {
+	var hdr [13]byte
+	hdr[0] = FrameChunk
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(8+len(data)))
+	binary.LittleEndian.PutUint64(hdr[5:], uint64(k))
+	return writeVec(w, hdr[:], data)
+}
+
+func writeVec(w io.Writer, hdr, payload []byte) error {
+	bufs := net.Buffers{hdr, payload}
+	_, err := bufs.WriteTo(w)
 	return err
 }
 
+// EncodePacket encodes p as the payload of a 'P' frame. A packet whose
+// encoding exceeds MaxFrameLen could never be read by a server, so it is
+// refused before anything is written, with an error that wraps
+// ErrFrameTooLarge and names the size.
+func EncodePacket(p *packet.CheckPacket) ([]byte, error) {
+	b := packet.Encode(p)
+	if len(b) > MaxFrameLen {
+		return nil, fmt.Errorf("%w: packet %s seg %d encodes to %d bytes, over the %d-byte limit",
+			ErrFrameTooLarge, p.ProgName, p.Segment, len(b), MaxFrameLen)
+	}
+	return b, nil
+}
+
 // ReadFrame reads one protocol frame, rejecting oversized length prefixes
-// with ErrFrameTooLarge before allocating anything.
+// with ErrFrameTooLarge before allocating anything. The payload is a fresh
+// allocation the caller owns outright.
 func ReadFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -260,6 +290,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				fail("chunk frame shorter than its key")
 				return
 			}
+			// The store adopts the frame's bytes; nothing else holds them.
 			key := pagestore.Key(binary.LittleEndian.Uint64(payload))
 			store.Insert(key, payload[8:])
 		case FramePacket:
@@ -373,6 +404,20 @@ func FetchMetrics(conn io.ReadWriter) ([]byte, error) {
 	}
 }
 
+// pendingRefusal reads what a peer that hung up left on conn and returns
+// its 'E' frame, if it sent one.
+func pendingRefusal(conn io.Reader) *RemoteError {
+	for {
+		typ, payload, err := ReadFrame(conn)
+		if err != nil {
+			return nil
+		}
+		if typ == FrameError {
+			return &RemoteError{Msg: string(payload)}
+		}
+	}
+}
+
 // CheckOver runs a full client session on conn: stream every chunk of the
 // store, then every packet, then collect the ordered verdicts. It is the
 // socket analogue of CheckAll (Unix or TCP — the framing is identical).
@@ -381,31 +426,45 @@ func FetchMetrics(conn io.ReadWriter) ([]byte, error) {
 // transport-level failure with the node's address and the packet index in
 // flight (the dispatcher's cue to evict the node and re-send elsewhere),
 // while a *RemoteError carries the server's own rejection of the session
-// content (re-sending the same packets elsewhere would be rejected again).
+// content (re-sending the same packets elsewhere would be rejected again),
+// also when the refusal is what made a write fail. A packet too large for
+// one frame ends the session before it is written, with EncodePacket's
+// error (it wraps ErrFrameTooLarge): no node could ever take it.
 func CheckOver(conn io.ReadWriter, store *pagestore.Store, pkts []*packet.CheckPacket) ([]Verdict, error) {
 	addr := connAddr(conn)
+	sendFailed := func(op string, pkt int, err error) error {
+		// A server that refuses the session sends 'E' and hangs up, so a
+		// write can fail with the refusal already waiting to be read.
+		if errors.Is(err, syscall.EPIPE) || errors.Is(err, syscall.ECONNRESET) {
+			if re := pendingRefusal(conn); re != nil {
+				return re
+			}
+		}
+		return &ConnError{Addr: addr, Op: op, Packet: pkt, Err: err}
+	}
 	var sendErr error
 	store.Each(func(k pagestore.Key, data []byte) {
 		if sendErr != nil {
 			return
 		}
-		payload := make([]byte, 8+len(data))
-		binary.LittleEndian.PutUint64(payload, uint64(k))
-		copy(payload[8:], data)
-		if err := WriteFrame(conn, FrameChunk, payload); err != nil {
-			sendErr = &ConnError{Addr: addr, Op: "send chunk", Packet: -1, Err: err}
+		if err := WriteChunk(conn, k, data); err != nil {
+			sendErr = sendFailed("send chunk", -1, err)
 		}
 	})
 	if sendErr != nil {
 		return nil, sendErr
 	}
 	for i, p := range pkts {
-		if err := WriteFrame(conn, FramePacket, packet.Encode(p)); err != nil {
-			return nil, &ConnError{Addr: addr, Op: "send packet", Packet: i, Err: err}
+		b, err := EncodePacket(p)
+		if err != nil {
+			return nil, err
+		}
+		if err := WriteFrame(conn, FramePacket, b); err != nil {
+			return nil, sendFailed("send packet", i, err)
 		}
 	}
 	if err := WriteFrame(conn, FrameDone, nil); err != nil {
-		return nil, &ConnError{Addr: addr, Op: "send done", Packet: -1, Err: err}
+		return nil, sendFailed("send done", -1, err)
 	}
 
 	var verdicts []Verdict

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"parallaft/internal/packet"
+	"parallaft/internal/pagestore"
 )
 
 // startServer serves on a fresh Unix socket under the test's temp dir and
@@ -252,6 +254,87 @@ func TestCheckOverTypedConnError(t *testing.T) {
 				t.Error("connection failure also matched *RemoteError; the classes must be disjoint")
 			}
 		})
+	}
+}
+
+// oversizePacket is pkt with one more syscall event carrying five 14 MiB
+// regions: about 70 MiB encoded, over MaxFrameLen.
+func oversizePacket(pkt *packet.CheckPacket) *packet.CheckPacket {
+	big := *pkt
+	data := make([]byte, 14<<20)
+	regions := make([]packet.Region, 5)
+	for i := range regions {
+		regions[i] = packet.Region{Addr: uint64(i) << 24, Data: data}
+	}
+	big.Events = append(append([]packet.Event(nil), pkt.Events...),
+		packet.Event{Kind: packet.EvSyscall, Syscall: &packet.SyscallEvent{In: regions}})
+	return &big
+}
+
+// TestCheckOverRefusesOversizePacket: a packet too large for one frame ends
+// the session with an error that wraps ErrFrameTooLarge and names the size,
+// and no byte of it reaches the wire.
+func TestCheckOverRefusesOversizePacket(t *testing.T) {
+	_, store, pkts := runExported(t, smallSliceConfig(), victimProgram(120_000))
+	if len(pkts) < 2 {
+		t.Fatalf("want several packets, got %d", len(pkts))
+	}
+	big := oversizePacket(pkts[0])
+	size := len(packet.Encode(big))
+
+	var sent bytes.Buffer
+	conn := struct {
+		io.Reader
+		io.Writer
+	}{strings.NewReader(""), &sent}
+	_, err := CheckOver(conn, store, []*packet.CheckPacket{pkts[0], big, pkts[1]})
+	if !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("CheckOver = %v, want ErrFrameTooLarge", err)
+	}
+	var ce *ConnError
+	if errors.As(err, &ce) {
+		t.Error("an oversize packet is not a transport failure; it must not be a *ConnError")
+	}
+	if !strings.Contains(err.Error(), fmt.Sprint(size)) {
+		t.Errorf("error %q does not name the %d-byte encoding", err, size)
+	}
+
+	// The wire holds whole frames only: every chunk, then the one packet
+	// before the oversize one.
+	var chunks, packets int
+	for sent.Len() > 0 {
+		typ, _, err := ReadFrame(&sent)
+		if err != nil {
+			t.Fatalf("wire damaged: %v", err)
+		}
+		switch typ {
+		case FrameChunk:
+			chunks++
+		case FramePacket:
+			packets++
+		default:
+			t.Fatalf("unexpected frame %q on the wire", typ)
+		}
+	}
+	if chunks != store.Len() || packets != 1 {
+		t.Errorf("wire carried %d chunks and %d packets, want %d and 1", chunks, packets, store.Len())
+	}
+}
+
+// TestWriteChunkFrame pins WriteChunk to the frame WriteFrame would write
+// for the same key and data.
+func TestWriteChunkFrame(t *testing.T) {
+	data := []byte("page contents")
+	var got, want bytes.Buffer
+	if err := WriteChunk(&got, pagestore.Key(0x1122334455667788), data); err != nil {
+		t.Fatal(err)
+	}
+	payload := binary.LittleEndian.AppendUint64(nil, 0x1122334455667788)
+	if err := WriteFrame(&want, FrameChunk, append(payload, data...)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("WriteChunk wrote % x, want % x", got.Bytes(), want.Bytes())
 	}
 }
 

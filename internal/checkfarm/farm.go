@@ -8,8 +8,9 @@
 // The farm is a dispatcher, not a checker: every verdict is produced by a
 // checkd executor on some node, so a healthy farm is byte-identical to the
 // in-process checker. Only when a packet cannot be checked anywhere (every
-// node dead, or a packet evicted more than MaxAttempts times) does the farm
-// synthesise an infrastructure verdict, typed via Verdict.InfraErr.
+// node dead, a packet evicted more than MaxAttempts times, or a packet too
+// large for one protocol frame) does the farm synthesise an infrastructure
+// verdict, typed via Verdict.InfraErr.
 package checkfarm
 
 import (
@@ -329,6 +330,18 @@ func (f *Farm) dispatcher() {
 			f.mu.Unlock()
 			continue
 		}
+		// Encode outside the lock. A packet too large for one frame could
+		// never cross to any node, so it resolves here, unwritten, without
+		// costing a node its session.
+		f.mu.Unlock()
+		wire, err := checkd.EncodePacket(fl.pkt)
+		f.mu.Lock()
+		if err != nil {
+			f.resolveLocked(fl, nil, checkd.NewInfraVerdict(fl.pkt, err))
+			f.mu.Unlock()
+			f.opts.Flight.Note("oversize", err.Error())
+			continue
+		}
 		if len(f.nodes) == 0 {
 			// Submission raced the last eviction; resolve cleanly rather
 			// than hold the packet hostage waiting for a join.
@@ -391,7 +404,7 @@ func (f *Farm) dispatcher() {
 			})
 		}
 
-		if err := f.upload(n, missing, fl.pkt); err != nil {
+		if err := f.upload(n, missing, wire); err != nil {
 			f.evict(n, err)
 			continue
 		}
@@ -426,9 +439,9 @@ func (f *Farm) recordStage(s telemetry.StageSpan) {
 	f.opts.Flight.RecordSpan(s)
 }
 
-// upload sends the missing chunks and then the packet to a node, serialised
-// against the node's heartbeat writes.
-func (f *Farm) upload(n *node, missing []pagestore.Key, pkt *packet.CheckPacket) error {
+// upload sends the missing chunks and then the encoded packet to a node,
+// serialised against the node's heartbeat writes.
+func (f *Farm) upload(n *node, missing []pagestore.Key, wire []byte) error {
 	n.wmu.Lock()
 	defer n.wmu.Unlock()
 	n.conn.SetWriteDeadline(time.Now().Add(f.opts.WriteTimeout))
@@ -438,10 +451,7 @@ func (f *Farm) upload(n *node, missing []pagestore.Key, pkt *packet.CheckPacket)
 		if data == nil {
 			return fmt.Errorf("checkfarm: chunk %#x missing from the farm store", uint64(k))
 		}
-		payload := make([]byte, 8+len(data))
-		binary.LittleEndian.PutUint64(payload, uint64(k))
-		copy(payload[8:], data)
-		if err := checkd.WriteFrame(n.conn, checkd.FrameChunk, payload); err != nil {
+		if err := checkd.WriteChunk(n.conn, k, data); err != nil {
 			return err
 		}
 		f.mu.Lock()
@@ -451,7 +461,7 @@ func (f *Farm) upload(n *node, missing []pagestore.Key, pkt *packet.CheckPacket)
 		f.tm.chunkUploads.Inc()
 		f.tm.chunkUploadBytes.Add(uint64(len(data)))
 	}
-	return checkd.WriteFrame(n.conn, checkd.FramePacket, packet.Encode(pkt))
+	return checkd.WriteFrame(n.conn, checkd.FramePacket, wire)
 }
 
 // reader drains one node's frame stream: verdicts resolve flights (with the

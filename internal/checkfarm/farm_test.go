@@ -2,6 +2,7 @@ package checkfarm
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -13,6 +14,8 @@ import (
 	"time"
 
 	"parallaft/internal/checkd"
+	"parallaft/internal/packet"
+	"parallaft/internal/pagestore"
 	"parallaft/internal/telemetry"
 )
 
@@ -195,6 +198,18 @@ func TestFarmNodeDiesAfterVerdict(t *testing.T) {
 			t.Fatalf("Submit: %v", err)
 		}
 	}
+	// Node A must die holding a backlog. Wait until the dispatcher has sent
+	// it every chunk, that is every packet, rather than rely on it winning
+	// the race against A's first verdict.
+	keys := make(map[pagestore.Key]bool)
+	for _, p := range pkts {
+		for _, k := range p.ChunkKeys(nil) {
+			keys[k] = true
+		}
+	}
+	for farm.NodeStats()[0].CacheSize < len(keys) {
+		time.Sleep(time.Millisecond)
+	}
 	// The first verdict proves node A answered; it dies before acking the
 	// rest, after the elastic join of node B.
 	first := <-farm.Verdicts()
@@ -370,6 +385,63 @@ func TestFarmAllNodesDead(t *testing.T) {
 	}
 	if err := farm.AddNode(n.Spec); !errors.Is(err, ErrClosed) && err == nil {
 		t.Fatalf("AddNode after Close = %v, want an error", err)
+	}
+}
+
+// TestFarmOversizePacketInfraVerdict: a packet whose encoding exceeds
+// checkd.MaxFrameLen can cross to no node. It resolves to exactly one typed
+// infra verdict without being written, the packets on either side are
+// checked as usual, and no node is evicted over it.
+func TestFarmOversizePacketInfraVerdict(t *testing.T) {
+	_, store, pkts := runExported(t, smallSliceConfig(), victimProgram(120_000))
+	if len(pkts) < 2 {
+		t.Fatalf("want several packets, got %d", len(pkts))
+	}
+	big := *pkts[0]
+	data := make([]byte, 14<<20)
+	regions := make([]packet.Region, 5)
+	for i := range regions {
+		regions[i] = packet.Region{Addr: uint64(i) << 24, Data: data}
+	}
+	big.Events = append(append([]packet.Event(nil), pkts[0].Events...),
+		packet.Event{Kind: packet.EvSyscall, Syscall: &packet.SyscallEvent{In: regions}})
+	size := len(packet.Encode(&big))
+
+	a := startKillableNode(t, checkd.Options{Workers: 1})
+	b := startKillableNode(t, checkd.Options{Workers: 1})
+	farm := New(store, Options{})
+	if err := farm.AddNode(a.Spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := farm.AddNode(b.Spec); err != nil {
+		t.Fatal(err)
+	}
+	got := collect(farm)
+	for _, p := range []*packet.CheckPacket{pkts[0], &big, pkts[1]} {
+		if err := farm.Submit(p); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+	}
+	farm.Close()
+
+	vs := got()
+	if len(vs) != 3 {
+		t.Fatalf("%d verdicts for 3 packets", len(vs))
+	}
+	for _, i := range []int{0, 2} {
+		if !vs[i].OK || vs[i].Infra != "" {
+			t.Errorf("verdict %d beside the oversize packet = %+v, want OK", i, vs[i])
+		}
+	}
+	if v := vs[1]; v.OK || !errors.Is(v.InfraErr(), checkd.ErrFrameTooLarge) {
+		t.Errorf("oversize packet verdict = %+v (InfraErr %v), want an infra verdict wrapping ErrFrameTooLarge", v, v.InfraErr())
+	} else if !strings.Contains(v.Infra, fmt.Sprint(size)) {
+		t.Errorf("infra verdict %q does not name the %d-byte encoding", v.Infra, size)
+	}
+	for _, ns := range farm.NodeStats() {
+		if ns.EvictReason != "" {
+			t.Errorf("node %s evicted over the oversize packet: %s", ns.Addr, ns.EvictReason)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -97,6 +98,22 @@ func TestParallaftCleanRun(t *testing.T) {
 	}
 	if stats.DirtyPagesHashed == 0 {
 		t.Error("no dirty pages were hashed")
+	}
+}
+
+// TestAvgPSSBitReproducible: two identical runs in one process report the
+// same AvgPSSBytes bit for bit; the PSS sample must not follow page-map
+// iteration order.
+func TestAvgPSSBitReproducible(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SlicePeriodCycles = 40_000
+	a := runProtected(t, cfg, 40_000)
+	b := runProtected(t, cfg, 40_000)
+	if a.AvgPSSBytes == 0 {
+		t.Fatal("no PSS samples taken")
+	}
+	if math.Float64bits(a.AvgPSSBytes) != math.Float64bits(b.AvgPSSBytes) {
+		t.Fatalf("AvgPSSBytes %v then %v across identical runs", a.AvgPSSBytes, b.AvgPSSBytes)
 	}
 }
 

@@ -739,10 +739,41 @@ func (as *AddressSpace) RSSBytes() uint64 {
 // the number of address spaces sharing its frame. The paper samples summed
 // PSS to measure memory overhead because COW sharing makes RSS misleading
 // (§5.4, footnote 12).
+//
+// Pages are counted per sharing degree first and the sum runs in ascending
+// degree, so the result does not depend on map iteration order: identical
+// address spaces give bit-identical sizes.
 func (as *AddressSpace) PSSBytes() float64 {
-	var pss float64
+	// Pages by frame refcount; the last bucket gathers every count from
+	// len-1 up, which a second pass splits out.
+	var counts [16]uint64
+	const last = len(counts) - 1
 	for _, p := range as.pages {
-		pss += float64(as.pageSize) / float64(p.frame.ref)
+		counts[min(uint(p.frame.ref), uint(last))]++
+	}
+	page := float64(as.pageSize)
+	var pss float64
+	for ref, n := range counts[:last] {
+		if n > 0 {
+			pss += page * float64(n) / float64(ref)
+		}
+	}
+	if counts[last] == 0 {
+		return pss
+	}
+	large := make(map[int]uint64)
+	for _, p := range as.pages {
+		if p.frame.ref >= last {
+			large[p.frame.ref]++
+		}
+	}
+	refs := make([]int, 0, len(large))
+	for ref := range large {
+		refs = append(refs, ref)
+	}
+	sort.Ints(refs)
+	for _, ref := range refs {
+		pss += page * float64(large[ref]) / float64(ref)
 	}
 	return pss
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -270,6 +271,39 @@ func TestFindFree(t *testing.T) {
 	}
 	if err := as.Map(got, pg, ProtRW, "x"); err != nil {
 		t.Errorf("FindFree result unusable: %v", err)
+	}
+}
+
+// TestPSSIndependentOfMapOrder: PSSBytes sums inexact fractions, so it
+// must not follow the page map's iteration order. Pages shared to several
+// degrees, up to 72 ways (past the small-count table), must give one bit
+// pattern on every call.
+func TestPSSIndependentOfMapOrder(t *testing.T) {
+	const pages = 300
+	as := newAS(t)
+	mustMap(t, as, 0, pages*pg)
+	var forks []*AddressSpace
+	for i := 0; i < 2; i++ {
+		forks = append(forks, as.Fork())
+	}
+	for i := uint64(0); i < 100; i++ {
+		as.StoreU64(i*pg, i) //nolint:errcheck
+	}
+	forks = append(forks, as.Fork())
+	for i := uint64(100); i < 200; i++ {
+		as.StoreU64(i*pg, i) //nolint:errcheck
+	}
+	for i := 0; i < 68; i++ {
+		forks = append(forks, forks[0].Fork())
+	}
+	want := math.Float64bits(as.PSSBytes())
+	for i := 0; i < 50; i++ {
+		if got := math.Float64bits(as.PSSBytes()); got != want {
+			t.Fatalf("call %d: PSSBytes bits %#x, first call %#x", i, got, want)
+		}
+	}
+	if got := math.Float64bits(forks[0].PSSBytes()); got != math.Float64bits(forks[1].PSSBytes()) {
+		t.Errorf("forks with identical sharing report different PSS bits")
 	}
 }
 

@@ -273,6 +273,10 @@ type Kernel struct {
 	perByteIONs   float64
 	perPageMapNs  float64
 
+	// ioBuf is the read/write scratch buffer: grown to the largest transfer
+	// seen, reused by every call, never retained past one.
+	ioBuf []byte
+
 	// counters
 	SyscallCount uint64
 }
@@ -362,6 +366,15 @@ func (k *Kernel) cstrLen(p *proc.Process, addr uint64) uint64 {
 	return n
 }
 
+// scratch returns the first n bytes of the I/O buffer, holding whatever
+// the previous call left there.
+func (k *Kernel) scratch(n uint64) []byte {
+	if uint64(cap(k.ioBuf)) < n {
+		k.ioBuf = make([]byte, n)
+	}
+	return k.ioBuf[:n]
+}
+
 func (k *Kernel) readCStr(p *proc.Process, addr uint64) (string, bool) {
 	var buf []byte
 	for len(buf) < 4096 {
@@ -422,7 +435,7 @@ func (k *Kernel) Execute(p *proc.Process, env proc.ExecEnv, info Info) Result {
 		if n > maxIOBytes {
 			return Result{Ret: -EINVAL}
 		}
-		buf := make([]byte, n)
+		buf := k.scratch(n)
 		if f := p.AS.Read(addr, buf); f != nil {
 			return Result{Ret: -EFAULT}
 		}
@@ -464,10 +477,11 @@ func (k *Kernel) Execute(p *proc.Process, env proc.ExecEnv, info Info) Result {
 		if !ok {
 			return Result{Ret: -EBADF}
 		}
-		buf := make([]byte, n)
+		buf := k.scratch(n)
 		var got int64
 		switch e.f.dev {
 		case devZero:
+			clear(buf)
 			got = int64(n)
 		case devNull:
 			got = 0

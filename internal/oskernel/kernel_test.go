@@ -138,6 +138,26 @@ func TestDevZeroAndNull(t *testing.T) {
 	}
 }
 
+// TestDevZeroAfterOtherIO: reads and writes share one scratch buffer, so a
+// /dev/zero read must clear what an earlier transfer left in it.
+func TestDevZeroAfterOtherIO(t *testing.T) {
+	f := newFixture(t)
+	addr := f.bufAddr(t)
+	f.p.AS.Write(addr, append([]byte("/dev/zero"), 0)) //nolint:errcheck
+	fd := uint64(f.sys(SysOpen, addr, 0).Ret)
+	dst := addr + pg
+	f.p.AS.StoreU64(dst, ^uint64(0)) //nolint:errcheck
+	if r := f.sys(SysWrite, 1, dst, 8); r.Ret != 8 {
+		t.Fatalf("write stdout = %d", r.Ret)
+	}
+	if r := f.sys(SysRead, fd, dst, 8); r.Ret != 8 {
+		t.Fatalf("read /dev/zero = %d", r.Ret)
+	}
+	if v, _ := f.p.AS.LoadU64(dst); v != 0 {
+		t.Errorf("/dev/zero after a write returned %#x", v)
+	}
+}
+
 func TestReadSizeCapped(t *testing.T) {
 	f := newFixture(t)
 	addr := f.bufAddr(t)

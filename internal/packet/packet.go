@@ -17,6 +17,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -332,9 +333,19 @@ func DecodeCode(b []byte, n int) ([]isa.Instr, error) {
 // Encode serializes the packet. The output is deterministic: one packet has
 // exactly one encoding. Encode writes p.Version verbatim (not the package
 // constant), so version-mismatch handling is testable end to end.
+//
+// The layout runs twice: a sizing pass counts the bytes, then the writing
+// pass fills one allocation of exactly that size (cap equals len).
 func Encode(p *CheckPacket) []byte {
-	var e enc
-	e.buf = make([]byte, 0, 1024)
+	size := enc{sizing: true}
+	size.packet(p)
+	e := enc{buf: make([]byte, 0, size.n)}
+	e.packet(p)
+	return e.buf
+}
+
+// packet lays out every field of p in wire order.
+func (e *enc) packet(p *CheckPacket) {
 	e.raw(magic[:])
 	e.u16(p.Version)
 	e.u64(p.ConfigDigest)
@@ -426,13 +437,17 @@ func Encode(p *CheckPacket) []byte {
 		e.u64(pg.VPN)
 		e.u64(pg.Sum)
 	}
-	return e.buf
 }
 
 // Decode deserializes a packet. It never panics: malformed input yields a
 // typed error. Trailing bytes, out-of-range counts, non-canonical booleans
 // and unknown event kinds are all rejected, so every valid byte string has
 // exactly one packet (and vice versa).
+//
+// The packet shares storage with b: every Region.Data is a slice of b,
+// capacity-limited so that appending to it reallocates rather than writing
+// into the neighbouring bytes. The caller must not modify b while the
+// packet is in use.
 func Decode(b []byte) (*CheckPacket, error) {
 	d := dec{b: b}
 	var m [6]byte
@@ -511,40 +526,7 @@ func Decode(b []byte) (*CheckPacket, error) {
 	}
 
 	if n := d.count(1); n > 0 {
-		p.Events = make([]Event, n)
-		for i := range p.Events {
-			ev := &p.Events[i]
-			ev.Kind = d.u8()
-			if d.err != nil {
-				return nil, d.err
-			}
-			switch ev.Kind {
-			case EvSyscall:
-				s := &SyscallEvent{}
-				s.Nr = d.u16()
-				for j := range s.Args {
-					s.Args[j] = d.u64()
-				}
-				s.Class = d.u8()
-				s.In = d.regions()
-				s.Ret = d.i64()
-				s.Out = d.regions()
-				s.MmapFixedAddr = d.u64()
-				ev.Syscall = s
-			case EvNondet:
-				ev.Nondet = &NondetEvent{PC: d.u64(), Value: d.u64()}
-			case EvSignalInternal, EvSignalExternal:
-				s := &SignalEvent{}
-				s.Sig = d.u8()
-				s.PC = d.u64()
-				s.Point.Branches = d.u64()
-				s.Point.PC = d.u64()
-				s.Fatal = d.bool()
-				ev.Signal = s
-			default:
-				return nil, fmt.Errorf("%w: unknown event kind %d", ErrCorrupt, ev.Kind)
-			}
-		}
+		p.Events = d.events(n)
 	}
 
 	d.regs(&p.EndState.Regs)
@@ -568,17 +550,47 @@ func Decode(b []byte) (*CheckPacket, error) {
 
 // --- primitive writer -------------------------------------------------------
 
+// enc appends fields to buf. A sizing enc writes nothing and only adds up
+// in n the bytes the same calls would have written.
 type enc struct {
-	buf []byte
+	buf    []byte
+	sizing bool
+	n      int
 }
 
-func (e *enc) raw(b []byte) { e.buf = append(e.buf, b...) }
-func (e *enc) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *enc) u16(v uint16) { e.buf = append(e.buf, byte(v), byte(v>>8)) }
+func (e *enc) raw(b []byte) {
+	if e.sizing {
+		e.n += len(b)
+		return
+	}
+	e.buf = append(e.buf, b...)
+}
+func (e *enc) u8(v uint8) {
+	if e.sizing {
+		e.n++
+		return
+	}
+	e.buf = append(e.buf, v)
+}
+func (e *enc) u16(v uint16) {
+	if e.sizing {
+		e.n += 2
+		return
+	}
+	e.buf = append(e.buf, byte(v), byte(v>>8))
+}
 func (e *enc) u32(v uint32) {
+	if e.sizing {
+		e.n += 4
+		return
+	}
 	e.buf = append(e.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 func (e *enc) u64(v uint64) {
+	if e.sizing {
+		e.n += 8
+		return
+	}
 	e.buf = append(e.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
@@ -593,6 +605,10 @@ func (e *enc) bool(v bool) {
 }
 func (e *enc) str(s string) {
 	e.u32(uint32(len(s)))
+	if e.sizing {
+		e.n += len(s)
+		return
+	}
 	e.buf = append(e.buf, s...)
 }
 func (e *enc) regs(r *RegFile) {
@@ -620,63 +636,71 @@ func (e *enc) regions(rs []Region) {
 // --- primitive reader -------------------------------------------------------
 
 // dec is a bounds-checked cursor; after the first error every read returns
-// zero and the error sticks.
+// zero and the error sticks. The fixed-width reads are small enough to
+// inline.
 type dec struct {
 	b   []byte
 	off int
 	err error
 }
 
+// fail records err, unless an earlier error stands, and moves the cursor to
+// the end so that every later read comes up short.
 func (d *dec) fail(err error) {
 	if d.err == nil {
 		d.err = err
 	}
+	d.off = len(d.b)
 }
 
 func (d *dec) raw(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
 	if n < 0 || len(d.b)-d.off < n {
 		d.fail(ErrTruncated)
 		return nil
 	}
-	out := d.b[d.off : d.off+n]
+	out := d.b[d.off : d.off+n : d.off+n]
 	d.off += n
 	return out
 }
 
 func (d *dec) u8() uint8 {
-	b := d.raw(1)
-	if b == nil {
+	if len(d.b)-d.off < 1 {
+		d.fail(ErrTruncated)
 		return 0
 	}
-	return b[0]
+	v := d.b[d.off]
+	d.off++
+	return v
 }
 
 func (d *dec) u16() uint16 {
-	b := d.raw(2)
-	if b == nil {
+	if len(d.b)-d.off < 2 {
+		d.fail(ErrTruncated)
 		return 0
 	}
-	return uint16(b[0]) | uint16(b[1])<<8
+	v := binary.LittleEndian.Uint16(d.b[d.off:])
+	d.off += 2
+	return v
 }
 
 func (d *dec) u32() uint32 {
-	b := d.raw(4)
-	if b == nil {
+	if len(d.b)-d.off < 4 {
+		d.fail(ErrTruncated)
 		return 0
 	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+	v := binary.LittleEndian.Uint32(d.b[d.off:])
+	d.off += 4
+	return v
 }
 
 func (d *dec) u64() uint64 {
-	b := d.raw(8)
-	if b == nil {
+	if len(d.b)-d.off < 8 {
+		d.fail(ErrTruncated)
 		return 0
 	}
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+	v := binary.LittleEndian.Uint64(d.b[d.off:])
+	d.off += 8
+	return v
 }
 
 func (d *dec) i64() int64   { return int64(d.u64()) }
@@ -734,14 +758,87 @@ func (d *dec) regs(r *RegFile) {
 	}
 }
 
-func (d *dec) regions() []Region {
+// events decodes an n-event log. The log is read twice by eventLog: a
+// sizing pass decodes into throwaway records and only counts them, then a
+// filling pass carves every event record and region header from one
+// exact-size slab per type. A log therefore costs at most five allocations
+// however long it is.
+func (d *dec) events(n int) []Event {
+	var s eventSlabs
+	start := d.off
+	d.eventLog(nil, n, &s)
+	if d.err != nil {
+		return nil
+	}
+	d.off = start
+	s.sys.alloc()
+	s.nondet.alloc()
+	s.signal.alloc()
+	s.regions.alloc()
+	evs := make([]Event, n)
+	d.eventLog(evs, n, &s)
+	return evs
+}
+
+// eventSlabs holds the record slabs of one event log.
+type eventSlabs struct {
+	sys     slab[SyscallEvent]
+	nondet  slab[NondetEvent]
+	signal  slab[SignalEvent]
+	regions slab[Region]
+}
+
+// eventLog decodes n events into evs, or, while sizing (evs nil), only
+// advances over them and counts their records in s.
+func (d *dec) eventLog(evs []Event, n int, s *eventSlabs) {
+	for i := 0; i < n; i++ {
+		var ev Event
+		ev.Kind = d.u8()
+		if d.err != nil {
+			return
+		}
+		switch ev.Kind {
+		case EvSyscall:
+			var sc SyscallEvent
+			sc.Nr = d.u16()
+			for j := range sc.Args {
+				sc.Args[j] = d.u64()
+			}
+			sc.Class = d.u8()
+			sc.In = d.regions(&s.regions)
+			sc.Ret = d.i64()
+			sc.Out = d.regions(&s.regions)
+			sc.MmapFixedAddr = d.u64()
+			ev.Syscall = s.sys.put(sc)
+		case EvNondet:
+			ev.Nondet = s.nondet.put(NondetEvent{PC: d.u64(), Value: d.u64()})
+		case EvSignalInternal, EvSignalExternal:
+			var sg SignalEvent
+			sg.Sig = d.u8()
+			sg.PC = d.u64()
+			sg.Point.Branches = d.u64()
+			sg.Point.PC = d.u64()
+			sg.Fatal = d.bool()
+			ev.Signal = s.signal.put(sg)
+		default:
+			d.fail(fmt.Errorf("%w: unknown event kind %d", ErrCorrupt, ev.Kind))
+			return
+		}
+		if evs != nil {
+			evs[i] = ev
+		}
+	}
+}
+
+// regions decodes one counted region list. Each Data aliases d.b.
+func (d *dec) regions(s *slab[Region]) []Region {
 	n := d.count(12)
 	if n == 0 {
 		return nil
 	}
-	out := make([]Region, n)
-	for i := range out {
-		out[i].Addr = d.u64()
+	out := s.take(n)
+	for i := 0; i < n; i++ {
+		addr := d.u64()
 		ln := d.u32()
 		if d.err != nil {
 			return out
@@ -750,9 +847,50 @@ func (d *dec) regions() []Region {
 			d.fail(fmt.Errorf("%w: region length %d", ErrCorrupt, ln))
 			return out
 		}
-		if b := d.raw(int(ln)); b != nil && ln > 0 {
-			out[i].Data = append([]byte(nil), b...)
+		data := d.raw(int(ln))
+		if out != nil {
+			out[i].Addr = addr
+			if ln > 0 {
+				out[i].Data = data
+			}
 		}
 	}
 	return out
+}
+
+// slab hands out records of one type from a single allocation. Until
+// alloc, take only counts and returns nil; alloc then sizes the slab to
+// exactly what was counted.
+type slab[T any] struct {
+	buf     []T
+	n       int
+	filling bool
+}
+
+func (s *slab[T]) alloc() {
+	s.buf = make([]T, s.n)
+	s.n = 0
+	s.filling = true
+}
+
+// take returns the next k records, capacity-limited so that appending to
+// them cannot reach the records after them.
+func (s *slab[T]) take(k int) []T {
+	if !s.filling {
+		s.n += k
+		return nil
+	}
+	out := s.buf[s.n : s.n+k : s.n+k]
+	s.n += k
+	return out
+}
+
+// put stores v in the next record and returns a pointer to it.
+func (s *slab[T]) put(v T) *T {
+	r := s.take(1)
+	if r == nil {
+		return nil
+	}
+	r[0] = v
+	return &r[0]
 }

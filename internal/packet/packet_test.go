@@ -163,7 +163,7 @@ func TestGoldenWireFormat(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: wire format drifted: encoded %d bytes, golden %d bytes; "+
 				"if intentional, bump packet.Version and regenerate with -update",
-			tc.golden, len(got), len(want))
+				tc.golden, len(got), len(want))
 		}
 	}
 }
@@ -212,6 +212,30 @@ func TestRoundTripPreservesEverything(t *testing.T) {
 	}
 	if b2 := Encode(got); !bytes.Equal(b2, b) {
 		t.Fatal("re-encoding the decoded packet changed the bytes")
+	}
+}
+
+// TestDecodeAliasesInput pins the ownership contract of Decode: region
+// payloads share the input's storage, and appending to one reallocates
+// instead of writing over the bytes that follow it.
+func TestDecodeAliasesInput(t *testing.T) {
+	b := Encode(fixturePacket())
+	src := append([]byte(nil), b...)
+	p, err := Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := p.Events[0].Syscall.In[0].Data
+	if &data[0] != &b[bytes.Index(b, []byte("sixteen bytes!!!"))] {
+		t.Fatal("region payload was copied, not aliased into the input")
+	}
+	if cap(data) != len(data) {
+		t.Fatalf("region payload has cap %d beyond its %d bytes", cap(data), len(data))
+	}
+	grown := append(data, "overwrite"...)
+	grown[0] = 'X'
+	if !bytes.Equal(b, src) {
+		t.Fatal("appending to a decoded region wrote into the source buffer")
 	}
 }
 
@@ -353,6 +377,9 @@ func FuzzPacketRoundTrip(f *testing.F) {
 			return
 		}
 		out := Encode(p)
+		if cap(out) != len(out) {
+			t.Fatalf("Encode allocated %d bytes for a %d-byte packet", cap(out), len(out))
+		}
 		if !bytes.Equal(out, data) {
 			t.Fatalf("accepted input is not canonical: re-encoded %d bytes differ from input %d bytes", len(out), len(data))
 		}

@@ -76,7 +76,7 @@ func (s *Store) Put(data []byte) Key {
 	k := Key(hashx.Sum64(s.seed, data))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.intern(k, data, true)
+	s.intern(k, data, false)
 	return k
 }
 
@@ -89,7 +89,7 @@ func (s *Store) PutFrame(f *mem.Frame) Key {
 	k := Key(sum)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.intern(k, f.Data(), true)
+	s.intern(k, f.Data(), false)
 	return k
 }
 
@@ -107,7 +107,7 @@ func (s *Store) PutFrames(frames []*mem.Frame, keys []Key) []Key {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, f := range frames {
-		s.intern(keys[base+i], f.Data(), true)
+		s.intern(keys[base+i], f.Data(), false)
 	}
 	return keys
 }
@@ -115,19 +115,23 @@ func (s *Store) PutFrames(frames []*mem.Frame, keys []Key) []Key {
 // Insert interns a chunk under a sender-computed key (the socket transport
 // trusts the client's content addressing; a wrong key only harms the
 // sender's own verdicts). Resident chunks take a reference instead.
+//
+// Insert takes ownership of data: when the chunk is not yet resident the
+// store keeps data itself, not a copy, so the caller must not modify it
+// afterwards. The socket transport hands over each chunk frame's freshly
+// read payload.
 func (s *Store) Insert(k Key, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.intern(k, data, true)
 }
 
-// intern adds one reference to the chunk at k, storing a copy of data if it
-// is not resident. Callers hold s.mu. countPut selects Puts accounting.
-func (s *Store) intern(k Key, data []byte, countPut bool) {
-	if countPut {
-		s.stats.Puts++
-		s.tm.puts.Inc()
-	}
+// intern adds one reference to the chunk at k. When the chunk is not
+// resident it stores data itself if adopt is set, or else a copy. Callers
+// hold s.mu.
+func (s *Store) intern(k Key, data []byte, adopt bool) {
+	s.stats.Puts++
+	s.tm.puts.Inc()
 	s.tm.refChurn.Inc()
 	if c, ok := s.chunks[k]; ok {
 		c.refs++
@@ -137,7 +141,10 @@ func (s *Store) intern(k Key, data []byte, countPut bool) {
 		s.tm.dedupedBytes.Add(uint64(len(data)))
 		return
 	}
-	s.chunks[k] = &chunk{data: append([]byte(nil), data...), refs: 1}
+	if !adopt {
+		data = append([]byte(nil), data...)
+	}
+	s.chunks[k] = &chunk{data: data, refs: 1}
 	s.stats.Chunks++
 	s.stats.StoredBytes += uint64(len(data))
 	s.tm.chunks.Add(1)

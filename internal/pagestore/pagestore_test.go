@@ -158,6 +158,22 @@ func TestInsertTrustsSenderKey(t *testing.T) {
 	}
 }
 
+// TestInsertAdoptsPutCopies pins the ownership contracts: Insert keeps the
+// caller's buffer as the chunk, Put keeps a copy of it.
+func TestInsertAdoptsPutCopies(t *testing.T) {
+	s := New(7)
+	frame := []byte("chunk frame payload")
+	s.Insert(Key(1), frame)
+	if got := s.Get(Key(1)); &got[0] != &frame[0] {
+		t.Error("Insert copied the chunk instead of adopting the buffer")
+	}
+	page := []byte("page bytes")
+	k := s.Put(page)
+	if got := s.Get(k); &got[0] == &page[0] {
+		t.Error("Put kept the caller's buffer instead of a copy")
+	}
+}
+
 func TestSerializationRoundTrip(t *testing.T) {
 	s := New(0xfeed)
 	k1 := s.Put([]byte("alpha"))
