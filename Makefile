@@ -84,8 +84,11 @@ farm-soak:
 
 # Short fuzz of the check-packet codec: Decode must never panic, and every
 # accepted input must re-encode byte-identically (canonical wire format).
+# Then the same for the pagestore file: ReadFrom never panics and refuses
+# with ErrBadStore, and a store survives WriteTo → ReadFrom intact.
 fuzz-smoke:
 	$(GO) test ./internal/packet -run '^$$' -fuzz FuzzPacketRoundTrip -fuzztime 5s
+	$(GO) test ./internal/pagestore -run '^$$' -fuzz FuzzStoreRoundTrip -fuzztime 5s
 
 # End-to-end offload pipeline through the real binaries: export packets from
 # a protected run, then re-check them with the daemon CLI.
@@ -105,10 +108,13 @@ bench-compare:
 # Zero-allocation pins for the hot paths (interpreter dispatch, the
 # steady-state comparator, and tracing's disabled path), plus the packet
 # codec's shape: one allocation per Encode, Decode constant in the event
-# count. Run without -race: the detector's own instrumentation allocates, so
-# the guard tests carry a !race build tag.
+# count. The byte bounds pin page-buffer reuse: a warm fork → COW → release
+# cycle recycles its page buffers, and a pagestore serializes in one
+# allocation of its exact size. Run without -race: the detector's own
+# instrumentation allocates, so the guard tests carry a !race build tag.
 alloc-guard:
 	$(GO) test ./internal/proc ./internal/compare ./internal/telemetry ./internal/telemetry/profile ./internal/packet -run 'AllocFree' -v
+	$(GO) test ./internal/mem ./internal/pagestore -run 'AllocBound' -v
 
 # Validate the pinned benchmark-trajectory files: every BENCH_NNN.json must
 # exist, parse against the parallaft-bench-trajectory/v1 schema, contain the

@@ -140,8 +140,9 @@ func NewExecutor(store *pagestore.Store, opts Options) *Executor {
 func (x *Executor) Verdicts() <-chan Verdict { return x.out }
 
 // Submit validates a packet and enqueues it. Validation is synchronous so
-// typed rejections (ErrVersion, ErrConfigDigest) surface immediately and a
-// rejected packet never consumes a verdict slot. A full queue blocks.
+// typed rejections (ErrVersion, ErrConfigDigest, ErrPageSize) surface
+// immediately and a rejected packet never consumes a verdict slot. A full
+// queue blocks.
 func (x *Executor) Submit(pkt *packet.CheckPacket) error {
 	x.mu.Lock()
 	if x.closed {
@@ -159,6 +160,11 @@ func (x *Executor) Submit(pkt *packet.CheckPacket) error {
 		x.tm.rejections.Inc()
 		return fmt.Errorf("%w: packet carries %#x but its config digests to %#x",
 			ErrConfigDigest, pkt.ConfigDigest, d)
+	}
+	if err := checkPageSize(pkt); err != nil {
+		x.mu.Unlock()
+		x.tm.rejections.Inc()
+		return err
 	}
 	if x.pinned && pkt.ConfigDigest != x.digest {
 		x.mu.Unlock()

@@ -95,6 +95,28 @@ func TestSubmitTypedRejections(t *testing.T) {
 		}
 	})
 
+	t.Run("page size", func(t *testing.T) {
+		x := NewExecutor(store, Options{})
+		defer x.Close()
+		for _, ps := range []uint64{0, 3, 12 << 10} {
+			// A self-consistent digest: the packet passes every codec and
+			// digest check, and only its page size is unusable.
+			bad := *pkts[0]
+			bad.Config.PageSize = ps
+			bad.ConfigDigest = bad.Config.Digest()
+			if err := x.Submit(&bad); !errors.Is(err, ErrPageSize) {
+				t.Fatalf("Submit(page size %d) = %v, want ErrPageSize", ps, err)
+			}
+			if _, _, err := RunPacketSlice(store, &bad); !errors.Is(err, ErrPageSize) {
+				t.Fatalf("RunPacketSlice(page size %d) = %v, want ErrPageSize", ps, err)
+			}
+		}
+		// The refusals left the stream unpinned and the executor usable.
+		if err := x.Submit(pkts[0]); err != nil {
+			t.Fatalf("Submit after the refusals: %v", err)
+		}
+	})
+
 	t.Run("pinned digest", func(t *testing.T) {
 		x := NewExecutor(store, Options{})
 		defer x.Close()

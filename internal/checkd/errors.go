@@ -1,6 +1,11 @@
 package checkd
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+
+	"parallaft/internal/packet"
+)
 
 // Typed intake rejections. Submit returns these synchronously so a client
 // learns immediately — before any replay work is queued — that a packet can
@@ -18,6 +23,10 @@ var (
 	// digests in one stream is rejected rather than silently checked.
 	ErrConfigDigest = errors.New("checkd: packet config digest mismatch")
 
+	// ErrPageSize: the packet's recorded page size is zero or not a power
+	// of two, so no address space can be rebuilt from it.
+	ErrPageSize = errors.New("checkd: packet page size is not a power of two")
+
 	// ErrMissingChunk: a content-addressed chunk referenced by a packet is
 	// not (yet) in the store. Transient under a streaming transport — the
 	// executor retries before giving up.
@@ -26,3 +35,11 @@ var (
 	// ErrClosed: Submit after Close.
 	ErrClosed = errors.New("checkd: executor closed")
 )
+
+// checkPageSize refuses a packet whose page size no address space can have.
+func checkPageSize(pkt *packet.CheckPacket) error {
+	if ps := pkt.Config.PageSize; ps == 0 || ps&(ps-1) != 0 {
+		return fmt.Errorf("%w: %d", ErrPageSize, ps)
+	}
+	return nil
+}

@@ -148,6 +148,9 @@ type runner struct {
 // match the start checkpoint exactly.
 func newRunner(store *pagestore.Store, pkt *packet.CheckPacket) (*runner, error) {
 	cfg := &pkt.Config
+	if err := checkPageSize(pkt); err != nil {
+		return nil, err
+	}
 
 	codeBytes := store.Get(pkt.CodeKey)
 	if codeBytes == nil {

@@ -88,6 +88,42 @@ func TestSocketRejectsBadVersion(t *testing.T) {
 	}
 }
 
+// TestSocketRefusesBadPageSize sends a packet whose page size is not a
+// power of two but whose checksum and config digest verify. The server must
+// answer with an 'E' refusal instead of crashing, and go on serving: a valid
+// packet on the next connection gets an OK verdict.
+func TestSocketRefusesBadPageSize(t *testing.T) {
+	_, store, pkts := runExported(t, smallSliceConfig(), victimProgram(120_000))
+	bad := *pkts[0]
+	bad.Config.PageSize = 3
+	bad.ConfigDigest = bad.Config.Digest()
+
+	_, sock := startServer(t, Options{})
+	check := func(pkt *packet.CheckPacket) ([]Verdict, error) {
+		conn, err := net.Dial("unix", sock)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer conn.Close()
+		return CheckOver(conn, store, []*packet.CheckPacket{pkt})
+	}
+	_, err := check(&bad)
+	var remote *RemoteError
+	if !errors.As(err, &remote) {
+		t.Fatalf("CheckOver(page size 3) = %v, want RemoteError", err)
+	}
+	if !strings.Contains(remote.Msg, "page size") {
+		t.Fatalf("remote error %q does not mention the page size", remote.Msg)
+	}
+	verdicts, err := check(pkts[0])
+	if err != nil {
+		t.Fatalf("CheckOver after the refusal: %v", err)
+	}
+	if len(verdicts) != 1 || !verdicts[0].OK {
+		t.Fatalf("verdicts after the refusal = %+v, want one OK verdict", verdicts)
+	}
+}
+
 // TestReadFrameRejectsDamage is the framing hardening table: truncated
 // headers, truncated payloads, and corrupt length prefixes must come back as
 // errors — with an oversized length producing the typed ErrFrameTooLarge

@@ -19,6 +19,13 @@
 // Page size is configurable because it matters: the paper attributes part of
 // Parallaft's higher overhead on Intel to 4 KiB pages versus Apple's 16 KiB
 // (§5.8).
+//
+// An address-space family — one NewAddressSpace result plus every Fork
+// descended from it — recycles page buffers: when a frame's last mapping
+// goes away its buffer joins the family's free list, and the next COW copy
+// or Map takes it from there instead of allocating. A family is driven by
+// one goroutine (the one executing its guests); other goroutines, such as
+// comparison workers, may only read frames while that goroutine waits.
 package mem
 
 import (
@@ -80,6 +87,9 @@ func (f *Fault) Error() string {
 // foundation of the comparison subsystem's frame-identity fast path — and
 // the memoized hash lets a COW-shared frame be hashed once no matter how
 // many checkpoints and checkers map it.
+//
+// A frame whose last mapping is gone is dead: its buffer has been recycled
+// by its address-space family, and Data returns nil.
 type Frame struct {
 	data []byte
 	ref  int
@@ -104,8 +114,61 @@ type Frame struct {
 // frameIDs allocates stable frame identities process-wide.
 var frameIDs atomic.Uint64
 
-func newFrame(size uint64) *Frame {
-	return &Frame{data: make([]byte, size), ref: 1, id: frameIDs.Add(1)}
+func newFrame(data []byte) *Frame {
+	return &Frame{data: data, ref: 1, id: frameIDs.Add(1)}
+}
+
+// bufferPool is an address-space family's free list of page buffers. Only
+// the byte buffer of a dead frame is recycled, never the *Frame: frame IDs
+// stay unique, and a stale *Frame can never alias a live frame's identity,
+// hash memo or comparison fast path. The list only holds buffers its own
+// family freed, so it is bounded by the family's peak page count and dies
+// with the family.
+type bufferPool struct {
+	free [][]byte
+}
+
+// take pops a free buffer, or returns nil when the list is empty.
+func (bp *bufferPool) take() []byte {
+	n := len(bp.free)
+	if n == 0 {
+		return nil
+	}
+	b := bp.free[n-1]
+	bp.free[n-1] = nil
+	bp.free = bp.free[:n-1]
+	return b
+}
+
+// zeroPage returns a zero-filled page buffer, recycled when possible.
+func (as *AddressSpace) zeroPage() []byte {
+	if b := as.pool.take(); b != nil {
+		clear(b)
+		return b
+	}
+	return make([]byte, as.pageSize)
+}
+
+// copyPage returns a page buffer holding a copy of src. A recycled buffer is
+// overwritten in full; a fresh one is allocated by the copy itself, so a COW
+// page is never zero-filled first.
+func (as *AddressSpace) copyPage(src []byte) []byte {
+	if b := as.pool.take(); b != nil {
+		copy(b, src)
+		return b
+	}
+	return append([]byte(nil), src...)
+}
+
+// unref drops one mapping of f. The last one returns f's buffer to the
+// family's free list and detaches it from f, so a dead frame can never read
+// or hash a page that now belongs to another frame.
+func (as *AddressSpace) unref(f *Frame) {
+	f.ref--
+	if f.ref == 0 {
+		as.pool.free = append(as.pool.free, f.data)
+		f.data = nil
+	}
 }
 
 // MapCount returns the number of address spaces mapping this frame.
@@ -190,6 +253,7 @@ type AddressSpace struct {
 	brk       uint64
 	brkBase   uint64
 	stats     Stats
+	pool      *bufferPool // shared by the whole fork family
 
 	// direct-mapped host TLBs; invalidated on any page-table mutation
 	tlbRead  [tlbSize]tlbEntry
@@ -211,6 +275,7 @@ func NewAddressSpace(pageSize uint64) *AddressSpace {
 		pageSize:  pageSize,
 		pageShift: shift,
 		pages:     make(map[uint64]*pte),
+		pool:      &bufferPool{},
 	}
 }
 
@@ -254,7 +319,7 @@ func (as *AddressSpace) Map(base, length uint64, prot Prot, name string) error {
 	}
 	for vpn := base >> as.pageShift; vpn < (base+length)>>as.pageShift; vpn++ {
 		as.pages[vpn] = &pte{
-			frame:     newFrame(as.pageSize),
+			frame:     newFrame(as.zeroPage()),
 			prot:      prot,
 			softDirty: true, // a new page is "modified" from nothing
 		}
@@ -279,7 +344,7 @@ func (as *AddressSpace) Unmap(base, length uint64) error {
 	}
 	for vpn := base >> as.pageShift; vpn < (base+length)>>as.pageShift; vpn++ {
 		if p, ok := as.pages[vpn]; ok {
-			p.frame.ref--
+			as.unref(p.frame)
 			delete(as.pages, vpn)
 		}
 	}
@@ -423,6 +488,7 @@ func (as *AddressSpace) Fork() *AddressSpace {
 		vmas:      make([]VMA, len(as.vmas)),
 		brk:       as.brk,
 		brkBase:   as.brkBase,
+		pool:      as.pool,
 	}
 	copy(child.vmas, as.vmas)
 	// One pte slab for the whole child page table: a fork is O(pages) map
@@ -441,10 +507,11 @@ func (as *AddressSpace) Fork() *AddressSpace {
 
 // Release drops every frame reference held by the address space. After
 // Release the address space must not be used. It exists so that discarded
-// checkpoints and dead checkers stop inflating map counts.
+// checkpoints and dead checkers stop inflating map counts, and so that the
+// frames only they mapped hand their buffers back to the family.
 func (as *AddressSpace) Release() {
 	for _, p := range as.pages {
-		p.frame.ref--
+		as.unref(p.frame)
 	}
 	clear(as.pages)
 	as.vmas = nil
@@ -490,9 +557,8 @@ func (as *AddressSpace) lookupWrite(addr uint64) (*pte, bool, *Fault) {
 	}
 	cow := false
 	if p.frame.ref > 1 {
-		nf := newFrame(as.pageSize)
-		copy(nf.data, p.frame.data)
-		p.frame.ref--
+		nf := newFrame(as.copyPage(p.frame.data))
+		as.unref(p.frame)
 		p.frame = nf
 		as.stats.COWCopies++
 		as.stats.COWBytes += as.pageSize

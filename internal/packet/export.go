@@ -1,7 +1,9 @@
 package packet
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -73,12 +75,25 @@ func (d *DirExporter) Close() error {
 	if err != nil {
 		return fmt.Errorf("packet: write pagestore: %w", err)
 	}
-	if _, err := d.store.WriteTo(f); err != nil {
+	if err := writeStore(f, d.store); err != nil {
 		f.Close()
 		return fmt.Errorf("packet: write pagestore: %w", err)
 	}
 	return f.Close()
 }
+
+// writeStore serializes store through a buffer: WriteTo makes four small
+// writes per chunk, which would otherwise each be a syscall.
+func writeStore(w io.Writer, store *pagestore.Store) error {
+	bw := bufio.NewWriterSize(w, storeBufSize)
+	if _, err := store.WriteTo(bw); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// storeBufSize is the buffer between the pagestore codec and its file.
+const storeBufSize = 256 << 10
 
 // ReadDir loads an export directory: the shared pagestore and every packet,
 // sorted by file name (which orders them by segment index).
@@ -87,7 +102,7 @@ func ReadDir(dir string) (*pagestore.Store, []*CheckPacket, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("packet: open pagestore: %w", err)
 	}
-	store, err := pagestore.ReadFrom(f)
+	store, err := pagestore.ReadFrom(bufio.NewReaderSize(f, storeBufSize))
 	f.Close()
 	if err != nil {
 		return nil, nil, err

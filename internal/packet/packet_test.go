@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"os"
@@ -352,6 +353,44 @@ func TestDirExportRoundTrip(t *testing.T) {
 	}
 	if got := store.Get(key); !bytes.Equal(got, page) {
 		t.Fatal("page content did not survive the export round trip")
+	}
+}
+
+// countingWriter counts the Write calls that reach it.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(b []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(b)
+}
+
+// TestStoreFileWritesAreBuffered pins the on-disk export's write pattern:
+// the pagestore reaches its file in buffer-sized writes, not four writes
+// per chunk, and the bytes are exactly what WriteTo produces.
+func TestStoreFileWritesAreBuffered(t *testing.T) {
+	store := pagestore.New(7)
+	page := make([]byte, 1024)
+	const chunks = 2000
+	for i := 0; i < chunks; i++ {
+		binary.LittleEndian.PutUint64(page, uint64(i))
+		store.Put(page)
+	}
+	var w countingWriter
+	if err := writeStore(&w, store); err != nil {
+		t.Fatal(err)
+	}
+	if max := w.Len()/storeBufSize + 1; w.writes > max {
+		t.Fatalf("%d writes for %d bytes in %d chunks, want at most %d", w.writes, w.Len(), chunks, max)
+	}
+	var direct bytes.Buffer
+	if _, err := store.WriteTo(&direct); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(w.Bytes(), direct.Bytes()) {
+		t.Fatal("buffered store file differs from WriteTo's output")
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -262,15 +263,29 @@ var ErrBadStore = errors.New("pagestore: malformed store file")
 // length field cannot exhaust host memory.
 const maxStoredChunk = 64 << 20
 
+// Serialized layout sizes: the store header (magic, seed, chunk count) and
+// each chunk's header (key, refs, length).
+const (
+	storeHeaderLen = 8 + 8 + 4
+	chunkHeaderLen = 8 + 4 + 4
+)
+
 // WriteTo serializes the store: header, then chunks sorted by key so the
-// output is deterministic for a given content set.
+// output is deterministic for a given content set. When w can Grow (a
+// bytes.Buffer can), WriteTo first reserves the exact serialized length, so
+// the output costs one allocation of its final size.
 func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	s.mu.Lock()
 	keys := make([]Key, 0, len(s.chunks))
-	for k := range s.chunks {
+	size := storeHeaderLen
+	for k, c := range s.chunks {
 		keys = append(keys, k)
+		size += chunkHeaderLen + len(c.data)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(size)
+	}
 
 	var n int64
 	write := func(b []byte) error {
@@ -347,8 +362,8 @@ func ReadFrom(r io.Reader) (*Store, error) {
 		if size > maxStoredChunk {
 			return nil, fmt.Errorf("%w: chunk %#x size %d exceeds limit", ErrBadStore, uint64(key), size)
 		}
-		data := make([]byte, size)
-		if _, err := io.ReadFull(r, data); err != nil {
+		data, err := readChunk(r, int(size))
+		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadStore, err)
 		}
 		if _, dup := s.chunks[key]; dup {
@@ -359,4 +374,22 @@ func ReadFrom(r io.Reader) (*Store, error) {
 		s.stats.StoredBytes += uint64(size)
 	}
 	return s, nil
+}
+
+// readChunk reads a size-byte chunk. A chunk up to a megabyte — every page
+// size — is one allocation of its exact size; a larger one is read a
+// megabyte at a time, so a corrupt length field in a short input fails at
+// the end of the input instead of allocating the whole claimed size first.
+func readChunk(r io.Reader, size int) ([]byte, error) {
+	const step = 1 << 20
+	data := make([]byte, 0, min(size, step))
+	for len(data) < size {
+		n := min(size-len(data), step)
+		data = slices.Grow(data, n)
+		if _, err := io.ReadFull(r, data[len(data):len(data)+n]); err != nil {
+			return nil, err
+		}
+		data = data[:len(data)+n]
+	}
+	return data, nil
 }
